@@ -366,6 +366,38 @@ fn print_first_divergence(forked: &str, cold: &str) {
     }
 }
 
+/// Host CPU model, toolchain and git revision of this run, as a JSON
+/// object. The revision is `null` outside a git work tree; `git_dirty`
+/// records uncommitted changes to tracked files.
+fn provenance() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let quoted = |s: &str| format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
+    let rev = git(&["rev-parse", "HEAD"]).map_or("null".to_string(), |r| quoted(r.trim()));
+    let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+        .map_or("null".to_string(), |s| (!s.is_empty()).to_string());
+    format!(
+        "{{\"cpu_model\": {}, \"rustc\": {}, \"git_rev\": {rev}, \"git_dirty\": {dirty}}}",
+        quoted(&cpu),
+        quoted(env!("BENCH_RUSTC")),
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--check") {
@@ -804,6 +836,7 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"host_cpus\": {cpus},\n"));
+    json.push_str(&format!("  \"provenance\": {},\n", provenance()));
     json.push_str(&format!(
         "  \"queue_hold_model\": {{\n    \"pending\": {HOLD_PENDING},\n    \"ops\": {HOLD_OPS},\n    \"wheel_ns_per_op\": {:.2},\n    \"heap_ns_per_op\": {:.2},\n    \"speedup\": {:.3}\n  }},\n",
         wheel_ns / ops,

@@ -68,6 +68,51 @@ pub(crate) enum PumpResult {
 /// per-refill overhead is amortised over many job stages.
 const DEMAND_Z_BATCH: usize = 32;
 
+/// One (request type, step)'s per-segment service-demand distribution,
+/// precomputed in [`Kernel::new`] so a segment costs one buffered normal
+/// draw and one `exp`.
+///
+/// A non-leaf step splits its demand evenly between its Pre and Post
+/// segments, so both phases share one entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StepDemand {
+    /// A degenerate distribution: zero jitter, or no demand at all (`0.0`).
+    Fixed(f64),
+    /// Lognormal `exp(mu + s * z)` for a standard-normal `z`.
+    LogNormal { mu: f64, s: f64 },
+}
+
+impl StepDemand {
+    /// The distribution with mean `mean` seconds and coefficient of
+    /// variation `cv`, with the parameters `simnet::lognormal_mean_cv_from_z`
+    /// derives per call, computed by the same float operations in the same
+    /// order — so every sample is bit-identical to it.
+    fn new(mean: f64, cv: f64) -> Self {
+        if mean > 0.0 && cv > 0.0 {
+            let sigma2 = (1.0 + cv * cv).ln();
+            StepDemand::LogNormal {
+                mu: mean.ln() - sigma2 / 2.0,
+                s: sigma2.sqrt(),
+            }
+        } else if mean > 0.0 {
+            StepDemand::Fixed(mean)
+        } else {
+            StepDemand::Fixed(0.0)
+        }
+    }
+
+    /// Samples a demand in seconds. `z` is called for a standard-normal
+    /// draw only when the distribution is non-degenerate — the draw
+    /// discipline of `RngStream::lognormal_mean_cv`.
+    #[inline]
+    fn sample(self, z: impl FnOnce() -> f64) -> f64 {
+        match self {
+            StepDemand::Fixed(secs) => secs,
+            StepDemand::LogNormal { mu, s } => (mu + s * z()).exp(),
+        }
+    }
+}
+
 /// The platform state. Owned by [`Simulation`](crate::Simulation); agents
 /// reach it through [`SimCtx`](crate::SimCtx).
 ///
@@ -87,6 +132,9 @@ pub struct Kernel {
     pub(crate) topology: Arc<Topology>,
     pub(crate) paths: Arc<Vec<callgraph::ExecutionPath>>,
     pub(crate) cfg: Arc<SimConfig>,
+    /// Demand distribution of every (request type, step), indexed
+    /// `[request type][step]`; see [`StepDemand`].
+    pub(crate) step_demand: Arc<Vec<Vec<StepDemand>>>,
     pub(crate) now: SimTime,
     pub(crate) queue: EventQueue<Event>,
     pub(crate) services: Vec<Service>,
@@ -152,6 +200,25 @@ impl Kernel {
             .collect();
         let n = services.len();
         let paths = topology.paths();
+        let step_demand = paths
+            .iter()
+            .map(|path| {
+                path.steps()
+                    .iter()
+                    .enumerate()
+                    .map(|(step, s)| {
+                        // A leaf spends its whole demand in Pre; intermediate
+                        // steps split half before the downstream call, half
+                        // after the reply.
+                        let is_leaf = step + 1 == path.len();
+                        let mean = s.demand.as_secs_f64()
+                            * cfg.platform.demand_scale
+                            * if is_leaf { 1.0 } else { 0.5 };
+                        StepDemand::new(mean, services[s.service.index()].spec.demand_cv)
+                    })
+                    .collect()
+            })
+            .collect();
         let mut queue = EventQueue::with_capacity(1024);
         queue.push(now + cfg.window, Event::Sample);
         let windows_per_sec = (1_000_000 / cfg.window.as_micros()).max(1);
@@ -175,6 +242,7 @@ impl Kernel {
             topology: Arc::new(topology),
             paths: Arc::new(paths),
             cfg: Arc::new(cfg),
+            step_demand: Arc::new(step_demand),
             now,
             queue,
             services,
@@ -395,26 +463,12 @@ impl Kernel {
     /// Samples the jittered duration of a compute segment and offers it to
     /// the replica's CPU.
     fn start_segment(&mut self, sidx: usize, ridx: usize, job: usize, step: usize, phase: Phase) {
-        let path = self.path_of(job);
-        let is_leaf = step + 1 == path.len();
-        let mean = path.steps()[step].demand.as_secs_f64()
-            * self.cfg.platform.demand_scale
-            * if is_leaf { 1.0 } else { 0.5 };
-        let cv = self.services[sidx].spec.demand_cv;
-        // Same draw discipline as `RngStream::lognormal_mean_cv`: a normal
-        // draw is consumed only when the distribution is non-degenerate, so
-        // the batched buffer reproduces per-call sampling bit-for-bit.
-        let secs = if mean > 0.0 && cv > 0.0 {
-            let z = self.next_demand_z();
-            simnet::lognormal_mean_cv_from_z(mean, cv, z)
-        } else if mean > 0.0 {
-            mean
-        } else {
-            0.0
-        };
+        let rt = self.jobs[job].as_ref().expect("live job").request_type;
+        // A normal draw is consumed only when the distribution is
+        // non-degenerate, so the batched buffer reproduces per-call sampling
+        // bit-for-bit.
+        let secs = self.step_demand[rt.index()][step].sample(|| self.next_demand_z());
         let duration = SimDuration::from_secs_f64(secs);
-        // A leaf spends its whole demand in Pre; intermediate steps split
-        // half before the downstream call, half after the reply.
         let seg = Segment {
             job,
             step,
@@ -973,5 +1027,28 @@ impl Kernel {
     /// advancing them.
     pub(crate) fn rng_fingerprint(&self) -> (u64, u64) {
         (self.demand_rng.fingerprint(), self.trace_rng.fingerprint())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::StepDemand;
+
+    #[test]
+    fn step_demand_samples_match_per_call_lognormal_bit_for_bit() {
+        for mean in [0.0, -0.001, 1e-6, 0.00025, 0.0035, 0.5, 7.0] {
+            for cv in [0.0, 0.05, 0.2, 1.0, 3.0] {
+                for z in [-4.0, -1.25, -0.0, 0.0, 0.3, 2.5, 6.0] {
+                    let mut drawn = false;
+                    let got = StepDemand::new(mean, cv).sample(|| {
+                        drawn = true;
+                        z
+                    });
+                    let want = simnet::lognormal_mean_cv_from_z(mean, cv, z);
+                    assert_eq!(got.to_bits(), want.to_bits(), "mean {mean} cv {cv} z {z}");
+                    assert_eq!(drawn, mean > 0.0 && cv > 0.0, "mean {mean} cv {cv}");
+                }
+            }
+        }
     }
 }

@@ -41,21 +41,22 @@ impl Service {
     pub(crate) fn pick_replica(&mut self) -> usize {
         let n = self.replicas.len();
         debug_assert!(n > 0, "service with no replicas");
+        debug_assert!(self.rr_cursor < n, "replicas never shrink");
         let mut best: Option<(usize, usize)> = None; // (load, index)
-        for offset in 0..n {
-            let idx = (self.rr_cursor + offset) % n;
+        let mut idx = self.rr_cursor;
+        for _ in 0..n {
             let r = &self.replicas[idx];
-            if r.draining {
-                continue;
+            if !r.draining {
+                let load = r.load();
+                match best {
+                    Some((l, _)) if l <= load => {}
+                    _ => best = Some((load, idx)),
+                }
             }
-            let load = r.load();
-            match best {
-                Some((l, _)) if l <= load => {}
-                _ => best = Some((load, idx)),
-            }
+            idx = if idx + 1 == n { 0 } else { idx + 1 };
         }
         let (_, idx) = best.expect("all replicas draining");
-        self.rr_cursor = (idx + 1) % n;
+        self.rr_cursor = if idx + 1 == n { 0 } else { idx + 1 };
         idx
     }
 
@@ -150,6 +151,20 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(s.pick_replica(), 1);
         }
+    }
+
+    #[test]
+    fn pick_replica_rotates_past_a_draining_replica() {
+        // Four idle replicas, the second draining: ties rotate through the
+        // active ones in index order, wrapping around the end.
+        let mut s = svc(4);
+        s.replicas[1].draining = true;
+        let picks: Vec<usize> = (0..7).map(|_| s.pick_replica()).collect();
+        assert_eq!(picks, [0, 2, 3, 0, 2, 3, 0]);
+        // A busier replica is skipped without disturbing the rotation.
+        s.replicas[2].try_admit();
+        let picks: Vec<usize> = (0..4).map(|_| s.pick_replica()).collect();
+        assert_eq!(picks, [3, 0, 3, 0]);
     }
 
     #[test]

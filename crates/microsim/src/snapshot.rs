@@ -1,8 +1,8 @@
 //! Warm-state checkpointing: capture a running simulation and fork it.
 //!
 //! A [`SimSnapshot`] freezes *everything* that determines the future of a
-//! simulation — the kernel (event calendar with its `(time, seq)` counter,
-//! replicas, thread-pool occupancy, in-flight jobs and spans, metric
+//! simulation — the kernel (event calendar with its FIFO slot lists and
+//! cursor, replicas, thread-pool occupancy, in-flight jobs and spans, metric
 //! windows, RNG streams) and the state of every registered agent. Forking a
 //! snapshot yields a [`Simulation`](crate::Simulation) whose subsequent
 //! history is **bit-identical** to the original's: snapshots are exact deep
@@ -54,6 +54,7 @@ impl Clone for Kernel {
             topology: Arc::clone(&self.topology),
             paths: Arc::clone(&self.paths),
             cfg: Arc::clone(&self.cfg),
+            step_demand: Arc::clone(&self.step_demand),
             // Mutable simulation state: exact deep copies.
             now: self.now,
             queue: self.queue.clone(),

@@ -410,3 +410,63 @@ fn saturated_resilient_checkpoint_forks_bit_identically() {
     assert_eq!(fork.rng_fingerprint(), sim.rng_fingerprint());
     assert_eq!(fork.metrics(), sim.metrics());
 }
+
+/// A checkpoint at an idle `run_until` horizon with work pending *behind*
+/// the calendar cursor. Peeking for the next event — the 1.1 s metrics
+/// sample, several level-0 blocks away — cascades the calendar cursor past
+/// the 1.01 s horizon; agents then started at the horizon schedule wakes
+/// and deliveries between the horizon and that cursor, some at identical
+/// instants. A fork taken right there must replay exactly like a cold run
+/// of the same program, and so must the original.
+#[test]
+fn fork_at_horizon_with_behind_cursor_pushes_matches_cold_run() {
+    let horizon = SimTime::from_micros(1_010_000);
+    let t2 = SimTime::from_secs(2);
+    let run_to_horizon = || {
+        let mut b = TopologyBuilder::new();
+        let api = b.add_service(ServiceSpec::new("api").threads(4).cores(1).demand_cv(0.2));
+        let db = b.add_service(ServiceSpec::new("db").threads(8).cores(2).demand_cv(0.2));
+        b.add_request_type(
+            "read",
+            vec![
+                (api, SimDuration::from_micros(400)),
+                (db, SimDuration::from_micros(700)),
+            ],
+        );
+        b.add_request_type("ping", vec![(api, SimDuration::from_micros(150))]);
+        let mut sim = Simulation::new(b.build(), SimConfig::default().seed(0x0C0D));
+        sim.run_until(horizon);
+        // Two sources on the same schedule: their wakes and deliveries
+        // collide, so same-instant FIFO order behind the cursor matters.
+        for (rt, interval_us) in [(0, 300), (0, 300), (1, 1_100), (1, 20_000)] {
+            sim.add_agent(Box::new(FixedRate::new(
+                RequestTypeId::new(rt),
+                SimDuration::from_micros(interval_us),
+                400,
+            )));
+        }
+        sim.run_until(horizon);
+        sim
+    };
+
+    let mut cold = run_to_horizon();
+    cold.run_until(t2);
+
+    let mut sim = run_to_horizon();
+    let pending = sim.pending_events();
+    assert!(
+        pending > 4,
+        "deliveries and wakes must be pending, got {pending}"
+    );
+    let snapshot = sim.checkpoint().expect("FixedRate supports snapshotting");
+    let mut fork = Simulation::from_snapshot(&snapshot);
+    assert_eq!(fork.pending_events(), pending);
+    fork.run_until(t2);
+    sim.run_until(t2);
+
+    assert!(cold.metrics().request_log().iter().count() > 1_000);
+    assert_eq!(observe(&fork), observe(&cold));
+    assert_eq!(fork.metrics(), cold.metrics());
+    assert_eq!(observe(&sim), observe(&cold));
+    assert_eq!(sim.metrics(), cold.metrics());
+}

@@ -159,12 +159,12 @@ fn deleting_a_kernel_field_clone_line_is_caught() {
 
 #[test]
 fn deleting_an_event_queue_field_clone_line_is_caught() {
-    let diags = check_with_deleted_line("EventQueue", "next_seq: self.next_seq");
+    let diags = check_with_deleted_line("EventQueue", "cursor: self.cursor");
     assert!(
         diags
             .iter()
-            .any(|d| d.contains("[snapshot-complete]") && d.contains("`next_seq`")),
-        "expected a snapshot-complete finding for `next_seq`, got: {diags:?}"
+            .any(|d| d.contains("[snapshot-complete]") && d.contains("`cursor`")),
+        "expected a snapshot-complete finding for `cursor`, got: {diags:?}"
     );
 }
 

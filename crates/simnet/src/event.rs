@@ -1,37 +1,60 @@
 //! The event calendar.
 //!
 //! A discrete-event simulation advances by repeatedly popping the earliest
-//! scheduled event. [`EventQueue`] is a hierarchical hashed timing wheel
-//! keyed on ([`SimTime`], insertion sequence): push and pop are O(1)
-//! amortized instead of the O(log n) of a binary heap, and events scheduled
-//! for the same instant are still delivered in the order they were pushed.
-//! That FIFO tie-break is what makes whole-system runs reproducible.
+//! scheduled event. [`EventQueue`] is a hierarchical calendar keyed on
+//! ([`SimTime`], push order): push and pop are O(1) amortized instead of
+//! the O(log n) of a binary heap, and events scheduled for the same instant
+//! are still delivered in the order they were pushed. That FIFO tie-break
+//! is what makes whole-system runs reproducible.
 //!
 //! [`HeapEventQueue`] keeps the original `BinaryHeap` implementation as a
 //! differential-test oracle and benchmark baseline; both queues produce
 //! bit-identical pop sequences for any program of pushes and pops.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::mem;
 
 use crate::time::SimTime;
 
-/// Bits per wheel level; each level has `2^SLOT_BITS` slots.
+/// Bits of the level-0 window: one slot per microsecond, `2^12` slots
+/// (~4 ms), wide enough that network hops and most compute segments are
+/// filed straight into their final slot.
+const L0_BITS: u32 = 12;
+/// Level-0 slots.
+const L0_SLOTS: usize = 1 << L0_BITS;
+/// `u64` words of the level-0 occupancy bitmap.
+const L0_WORDS: usize = L0_SLOTS / 64;
+/// Bits per coarse level; each coarse level has `2^SLOT_BITS` buckets.
 const SLOT_BITS: u32 = 6;
-/// Slots per level.
+/// Buckets per coarse level.
 const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels. Level `L` buckets events by bits `[6L, 6L+6)` of their
-/// microsecond timestamp, so the wheel directly addresses `2^36` µs
-/// (~19 hours) ahead of the cursor; anything further waits in an overflow
-/// list.
-const LEVELS: usize = 6;
+/// Coarse levels above level 0. Coarse level `L` (0-based) buckets events
+/// by bits `[12 + 6L, 18 + 6L)` of their microsecond timestamp, so the
+/// calendar directly addresses `2^36` µs (~19 hours) ahead of the cursor;
+/// anything further waits in an overflow list.
+const COARSE_LEVELS: usize = 4;
+/// End-of-list / empty-free-list marker for slab links.
+const NIL: u32 = u32::MAX;
 
 /// A deterministic future-event list.
 ///
 /// The payload type `E` is opaque to the kernel; the simulation driver (see
 /// the `microsim` crate) defines its own event enum and interprets popped
 /// events.
+///
+/// Events are filed by their distance from a *cursor*, which moves forward
+/// only when level 0 runs dry:
+///
+/// * in the cursor's `2^12` µs level-0 block → a per-microsecond FIFO list
+///   in a slab, found through a two-level occupancy bitmap and popped
+///   straight from its slot;
+/// * further ahead → a 64-bucket coarse level, re-filed once when the
+///   cursor reaches its bucket;
+/// * beyond the ~19 h span → the overflow list;
+/// * before the cursor (scheduled after a [`peek_time`](Self::peek_time)
+///   cascaded past it, e.g. at a `run_until` horizon) → a small sorted list
+///   that pops before everything else.
 ///
 /// # Example
 ///
@@ -50,49 +73,69 @@ const LEVELS: usize = 6;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// `LEVELS * SLOTS` buckets, flattened; bucket `level * SLOTS + slot`
-    /// holds events whose level-`level` time digit is `slot`.
-    slots: Vec<Vec<Entry<E>>>,
-    /// Per-level occupancy bitmask: bit `s` set iff bucket `s` is non-empty.
-    occupied: [u64; LEVELS],
-    /// Events at or before the cursor, sorted by (time, seq); popped from
-    /// the front.
-    ready: VecDeque<Entry<E>>,
-    /// Events more than the wheel span (~19 h) ahead of the cursor.
+    /// Level-0 event nodes; each slot's events form a FIFO list linked by
+    /// slab index. Popped nodes are recycled through `free`.
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node list threaded through `Node::next`, or `NIL`.
+    free: u32,
+    /// `(head, tail)` node of each level-0 slot's list; meaningful only
+    /// while the slot's occupancy bit is set.
+    ends: Vec<(u32, u32)>,
+    /// Level-0 occupancy: bit `s % 64` of word `s / 64` is set iff slot
+    /// `s` is non-empty.
+    occupied: [u64; L0_WORDS],
+    /// Bit `w` is set iff `occupied[w]` is non-zero.
+    summary: u64,
+    /// `COARSE_LEVELS * SLOTS` buckets, flattened; bucket
+    /// `level * SLOTS + slot` holds events in push order.
+    buckets: Vec<Vec<Entry<E>>>,
+    /// Per-coarse-level occupancy: bit `s` set iff bucket `s` is non-empty.
+    coarse: [u64; COARSE_LEVELS],
+    /// Events before the cursor, sorted by descending (time, push order):
+    /// popped from the back.
+    behind: Vec<Entry<E>>,
+    /// Events more than the calendar span (~19 h) ahead of the cursor.
     overflow: Vec<Entry<E>>,
-    /// Microsecond timestamp the wheel is positioned at: the time of the
-    /// most recently drained bucket. All buckets hold events strictly after
-    /// it (relative placement is re-derived as the cursor advances).
+    /// Microsecond timestamp the calendar is positioned at. Level 0 holds
+    /// events in `[cursor, end of cursor's 2^12 µs block)`; coarse buckets
+    /// hold events in later blocks.
     cursor: u64,
-    /// Reused buffer for redistributing a drained bucket.
-    scratch: Vec<Entry<E>>,
-    next_seq: u64,
     len: usize,
+}
+
+#[derive(Debug, Clone)]
+struct Node<E> {
+    /// Next node in the slot's list (or in the free list), or `NIL`.
+    next: u32,
+    /// `None` only while the node is on the free list.
+    payload: Option<E>,
 }
 
 #[derive(Debug, Clone)]
 struct Entry<E> {
     time: SimTime,
-    seq: u64,
     payload: E,
 }
 
 /// The queue's snapshot path: every field cloned explicitly, one line per
-/// field. A clone is an exact fork — it preserves the `(time, seq)` FIFO
-/// counter and the wheel cursor, so the original and the copy pop identical
-/// sequences. `simlint`'s `snapshot-complete` rule cross-checks this impl
-/// against the struct's field list, making a silently-missing field a CI
-/// failure instead of a stale fork.
+/// field. A clone is an exact fork — it preserves the slab and its free
+/// list, the slot lists' FIFO order and the cursor, so the original and
+/// the copy pop identical sequences. `simlint`'s `snapshot-complete` rule
+/// cross-checks this impl against the struct's field list, making a
+/// silently-missing field a CI failure instead of a stale fork.
 impl<E: Clone> Clone for EventQueue<E> {
     fn clone(&self) -> Self {
         EventQueue {
-            slots: self.slots.clone(),
+            nodes: self.nodes.clone(),
+            free: self.free,
+            ends: self.ends.clone(),
             occupied: self.occupied,
-            ready: self.ready.clone(),
+            summary: self.summary,
+            buckets: self.buckets.clone(),
+            coarse: self.coarse,
+            behind: self.behind.clone(),
             overflow: self.overflow.clone(),
             cursor: self.cursor,
-            scratch: self.scratch.clone(),
-            next_seq: self.next_seq,
             len: self.len,
         }
     }
@@ -107,13 +150,16 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with room for `capacity` soon-to-fire events.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; LEVELS],
-            ready: VecDeque::with_capacity(capacity),
+            nodes: Vec::with_capacity(capacity),
+            free: NIL,
+            ends: vec![(NIL, NIL); L0_SLOTS],
+            occupied: [0; L0_WORDS],
+            summary: 0,
+            buckets: (0..COARSE_LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            coarse: [0; COARSE_LEVELS],
+            behind: Vec::new(),
             overflow: Vec::new(),
             cursor: 0,
-            scratch: Vec::new(),
-            next_seq: 0,
             len: 0,
         }
     }
@@ -123,32 +169,52 @@ impl<E> EventQueue<E> {
     /// Events pushed for the same instant pop in push order.
     #[inline]
     pub fn push(&mut self, time: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.len += 1;
-        self.insert(Entry { time, seq, payload });
+        self.insert(time, payload);
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.ready.is_empty() && !self.refill_ready() {
+        if let Some(e) = self.behind.pop() {
+            self.len -= 1;
+            return Some((e.time, e.payload));
+        }
+        if self.summary == 0 && !self.cascade() {
             return None;
         }
         self.len -= 1;
-        self.ready.pop_front().map(|e| (e.time, e.payload))
+        let slot = self.first_slot();
+        let (head, tail) = self.ends[slot];
+        let node = &mut self.nodes[head as usize];
+        let payload = node.payload.take().expect("live slot node");
+        let next = mem::replace(&mut node.next, self.free);
+        self.free = head;
+        if head == tail {
+            let word = slot / 64;
+            self.occupied[word] &= !(1 << (slot % 64));
+            if self.occupied[word] == 0 {
+                self.summary &= !(1 << word);
+            }
+        } else {
+            self.ends[slot].0 = next;
+        }
+        Some((self.slot_time(slot), payload))
     }
 
     /// The timestamp of the earliest pending event, if any.
     ///
-    /// Takes `&mut self` because peeking may advance the wheel cursor to the
-    /// next occupied bucket; the set of pending events is unchanged.
+    /// Takes `&mut self` because peeking may cascade a coarse bucket and
+    /// advance the cursor; the set of pending events is unchanged.
     #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.ready.is_empty() && !self.refill_ready() {
+        if let Some(e) = self.behind.last() {
+            return Some(e.time);
+        }
+        if self.summary == 0 && !self.cascade() {
             return None;
         }
-        self.ready.front().map(|e| e.time)
+        Some(self.slot_time(self.first_slot()))
     }
 
     /// Number of pending events.
@@ -161,109 +227,129 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Drops every pending event.
+    /// Drops every pending event, keeping every allocation for reuse.
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            slot.clear();
+        self.nodes.clear();
+        self.free = NIL;
+        self.occupied = [0; L0_WORDS];
+        self.summary = 0;
+        for bucket in &mut self.buckets {
+            bucket.clear();
         }
-        self.occupied = [0; LEVELS];
-        self.ready.clear();
+        self.coarse = [0; COARSE_LEVELS];
+        self.behind.clear();
         self.overflow.clear();
         self.cursor = 0;
         self.len = 0;
     }
 
-    /// Files `entry` into the ready list, a wheel bucket, or the overflow
-    /// list, according to its distance from the cursor.
+    /// The earliest occupied level-0 slot. Level 0 must be non-empty.
     #[inline]
-    fn insert(&mut self, entry: Entry<E>) {
-        let t = entry.time.as_micros();
-        let diff = t ^ self.cursor;
-        if t <= self.cursor {
-            // At or before the cursor (same-instant push, or an event
-            // scheduled in the cursor's past): ordered insert keyed on
-            // (time, seq). Same-time events always arrive here in ascending
-            // seq order, so the partition point lands after them.
-            let pos = self
-                .ready
-                .partition_point(|e| (e.time, e.seq) < (entry.time, entry.seq));
-            self.ready.insert(pos, entry);
-            return;
-        }
-        let level = ((63 - diff.leading_zeros()) / SLOT_BITS) as usize;
-        if level >= LEVELS {
-            self.overflow.push(entry);
-            return;
-        }
-        let slot = ((t >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level * SLOTS + slot].push(entry);
-        self.occupied[level] |= 1 << slot;
+    fn first_slot(&self) -> usize {
+        let word = self.summary.trailing_zeros() as usize;
+        word * 64 + self.occupied[word].trailing_zeros() as usize
     }
 
-    /// Ensures `ready` holds the earliest pending events, advancing the
-    /// cursor and cascading buckets as needed. Returns `false` when the
-    /// queue is empty.
-    fn refill_ready(&mut self) -> bool {
+    /// The timestamp of level-0 slot `slot` in the cursor's block.
+    #[inline]
+    fn slot_time(&self, slot: usize) -> SimTime {
+        SimTime::from_micros((self.cursor & !(L0_SLOTS as u64 - 1)) | slot as u64)
+    }
+
+    /// Files an event into the behind-cursor list, level 0, a coarse
+    /// bucket, or the overflow list, according to its distance from the
+    /// cursor.
+    #[inline]
+    fn insert(&mut self, time: SimTime, payload: E) {
+        let t = time.as_micros();
+        if t < self.cursor {
+            // Before the cursor: ordered insert ahead of equal times, so
+            // same-time events pop from the back in push order.
+            let pos = self.behind.partition_point(|e| e.time > time);
+            self.behind.insert(pos, Entry { time, payload });
+            return;
+        }
+        let diff = t ^ self.cursor;
+        if diff < L0_SLOTS as u64 {
+            self.file_level0(t as usize & (L0_SLOTS - 1), payload);
+            return;
+        }
+        let level = ((63 - diff.leading_zeros() - L0_BITS) / SLOT_BITS) as usize;
+        if level >= COARSE_LEVELS {
+            self.overflow.push(Entry { time, payload });
+            return;
+        }
+        let slot = ((t >> (L0_BITS + SLOT_BITS * level as u32)) as usize) & (SLOTS - 1);
+        self.buckets[level * SLOTS + slot].push(Entry { time, payload });
+        self.coarse[level] |= 1 << slot;
+    }
+
+    /// Appends an event to the tail of level-0 slot `slot`'s FIFO list.
+    #[inline]
+    fn file_level0(&mut self, slot: usize, payload: E) {
+        let node = Node {
+            next: NIL,
+            payload: Some(payload),
+        };
+        let idx = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let idx = self.free;
+            self.free = mem::replace(&mut self.nodes[idx as usize], node).next;
+            idx
+        };
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if self.occupied[word] & bit == 0 {
+            self.ends[slot] = (idx, idx);
+            self.occupied[word] |= bit;
+            self.summary |= 1 << word;
+        } else {
+            let tail = mem::replace(&mut self.ends[slot].1, idx);
+            self.nodes[tail as usize].next = idx;
+        }
+    }
+
+    /// Refills an empty level 0: advances the cursor to the earliest
+    /// occupied coarse bucket (or re-seeds from the overflow list) and
+    /// re-files its events, until level 0 holds the earliest pending
+    /// events. Returns `false` when the queue is empty.
+    fn cascade(&mut self) -> bool {
         'scan: loop {
-            if !self.ready.is_empty() {
+            if self.summary != 0 {
                 return true;
             }
-            for level in 0..LEVELS {
-                let shift = SLOT_BITS * level as u32;
-                let cursor_slot = ((self.cursor >> shift) & (SLOTS as u64 - 1)) as u32;
+            for level in 0..COARSE_LEVELS {
+                let shift = L0_BITS + SLOT_BITS * level as u32;
+                let cursor_slot = ((self.cursor >> shift) as usize & (SLOTS - 1)) as u32;
                 // Buckets at or above the cursor's digit. Lower levels are
                 // scanned first, so a non-empty bucket here holds the
                 // globally earliest pending events.
-                let mask = self.occupied[level] & (u64::MAX << cursor_slot);
+                let mask = self.coarse[level] & (u64::MAX << cursor_slot);
                 if mask == 0 {
                     continue;
                 }
                 let slot = mask.trailing_zeros() as usize;
-                if level == 0 {
-                    // Drain the whole remaining level-0 window in one pass:
-                    // slot order is time order, each bucket is one tick wide
-                    // with entries already in push order. Batching amortises
-                    // the level scan over every event left in the window.
-                    let mut rest = mask;
-                    while rest != 0 {
-                        let s = rest.trailing_zeros() as usize;
-                        rest &= rest - 1;
-                        self.ready.extend(self.slots[s].drain(..));
-                    }
-                    self.occupied[0] &= !mask;
-                    // Advance to the window's last tick; later pushes into
-                    // the drained range take the ordered `ready` path.
-                    self.cursor |= (SLOTS as u64) - 1;
-                    return true;
-                }
-                self.occupied[level] &= !(1u64 << slot);
-                // Cascade: advance to the bucket's start (nothing pends
-                // before it) and re-file its entries, which now land at
-                // lower levels or directly in `ready`.
+                self.coarse[level] &= !(1u64 << slot);
+                // Advance to the bucket's start (nothing pends before it)
+                // and re-file its entries in push order; they now land at
+                // lower levels. The drained bucket keeps its allocation.
                 let above = shift + SLOT_BITS;
                 self.cursor = ((self.cursor >> above) << above) | ((slot as u64) << shift);
-                let mut scratch = mem::take(&mut self.scratch);
-                scratch.append(&mut self.slots[level * SLOTS + slot]);
-                for entry in scratch.drain(..) {
-                    self.insert(entry);
+                let mut bucket = mem::take(&mut self.buckets[level * SLOTS + slot]);
+                for e in bucket.drain(..) {
+                    self.insert(e.time, e.payload);
                 }
-                self.scratch = scratch;
+                self.buckets[level * SLOTS + slot] = bucket;
                 continue 'scan;
             }
-            // Wheel empty: re-seed from the overflow list, if any.
-            if self.overflow.is_empty() {
+            // Calendar empty: re-seed from the overflow list, if any.
+            let Some(min_t) = self.overflow.iter().map(|e| e.time.as_micros()).min() else {
                 return false;
-            }
-            let min_t = self
-                .overflow
-                .iter()
-                .map(|e| e.time.as_micros())
-                .min()
-                .expect("overflow non-empty");
+            };
             self.cursor = min_t;
-            let overflow = mem::take(&mut self.overflow);
-            for entry in overflow {
-                self.insert(entry);
+            for e in mem::take(&mut self.overflow) {
+                self.insert(e.time, e.payload);
             }
         }
     }
@@ -414,9 +500,18 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::ZERO, 1);
         q.push(SimTime::ZERO, 2);
+        q.push(SimTime::from_secs(10), 3);
+        q.push(SimTime::FAR_FUTURE, 4);
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 1)));
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
+        // The cleared queue is reusable from time zero.
+        q.push(SimTime::from_micros(7), 5);
+        q.push(SimTime::from_micros(7), 6);
+        assert_eq!(q.pop(), Some((SimTime::from_micros(7), 5)));
+        assert_eq!(q.pop(), Some((SimTime::from_micros(7), 6)));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -433,7 +528,7 @@ mod tests {
     #[test]
     fn far_future_events_survive_overflow() {
         let mut q = EventQueue::new();
-        // Beyond the wheel span (~19 h) and at the FAR_FUTURE sentinel.
+        // Beyond the calendar span (~19 h) and at the FAR_FUTURE sentinel.
         q.push(SimTime::FAR_FUTURE, "sentinel");
         q.push(SimTime::from_secs(100_000), "distant");
         q.push(SimTime::from_millis(1), "soon");
@@ -484,25 +579,48 @@ mod tests {
 
     #[test]
     fn matches_heap_reference_on_dense_interleaving() {
-        let mut wheel = EventQueue::new();
+        let mut cal = EventQueue::new();
         let mut heap = HeapEventQueue::new();
-        // Deterministic scatter of pushes across all wheel levels, with
+        // Deterministic scatter of pushes across all calendar levels, with
         // interleaved pops.
         let mut t = 1u64;
         for i in 0..2_000u64 {
             t = t.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i) % 300_000_000;
-            wheel.push(SimTime::from_micros(t), i);
+            cal.push(SimTime::from_micros(t), i);
             heap.push(SimTime::from_micros(t), i);
             if i % 3 == 0 {
-                assert_eq!(wheel.pop(), heap.pop());
+                assert_eq!(cal.pop(), heap.pop());
             }
         }
         loop {
-            let (w, h) = (wheel.pop(), heap.pop());
-            assert_eq!(w, h);
-            if w.is_none() {
+            let (c, h) = (cal.pop(), heap.pop());
+            assert_eq!(c, h);
+            if c.is_none() {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn pushes_at_an_idle_horizon_pop_fifo_before_the_peeked_event() {
+        // A `run_until(5 ms)` horizon: the only pending event lies in a
+        // later level-0 block, so peeking cascades the cursor to that
+        // block's start (8192 µs), past the horizon.
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(10_000), "next");
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(10_000)));
+        assert!(q.cursor > 5_000);
+        // Agents woken at the horizon schedule between it and the cursor
+        // (behind it), at the cursor, and between the cursor and the
+        // peeked event.
+        q.push(SimTime::from_micros(5_250), "a1");
+        q.push(SimTime::from_micros(8_192), "cursor");
+        q.push(SimTime::from_micros(7_000), "b");
+        q.push(SimTime::from_micros(5_250), "a2");
+        q.push(SimTime::from_micros(9_000), "c");
+        q.push(SimTime::from_micros(5_250), "a3");
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5_250)));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["a1", "a2", "a3", "b", "cursor", "c", "next"]);
     }
 }

@@ -122,12 +122,15 @@ impl SimDuration {
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
-    /// microsecond. Negative and non-finite inputs clamp to zero.
+    /// microsecond (halves away from zero, like `f64::round`). Negative and
+    /// non-finite inputs clamp to zero; values beyond `u64::MAX` µs
+    /// saturate.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         if !secs.is_finite() || secs <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((secs * 1e6).round() as u64)
+        SimDuration(round_to_u64(secs * 1e6))
     }
 
     /// Returns the raw microsecond count.
@@ -178,6 +181,20 @@ impl SimDuration {
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
+}
+
+/// `x.round() as u64` for `x >= 0`, without the libm `round` call: rounds
+/// to nearest with halves away from zero, saturating at `u64::MAX`.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    // At or above 2^52 every f64 is an integer: nothing to round.
+    if x >= 4_503_599_627_370_496.0 {
+        return x as u64;
+    }
+    // Below 2^52 the fractional part `x - whole` is exact, so comparing it
+    // with one half rounds exactly.
+    let whole = x as u64;
+    whole + u64::from(x - whole as f64 >= 0.5)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -289,6 +306,46 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::ZERO);
+        assert_eq!(
+            SimDuration::from_secs_f64(f64::NEG_INFINITY),
+            SimDuration::ZERO
+        );
+        assert_eq!(SimDuration::from_secs_f64(-0.0), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_secs_f64(-1e-9), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn round_to_u64_matches_f64_round() {
+        let mut cases: Vec<f64> = vec![
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            4_503_599_627_370_495.5,      // 2^52 - 0.5
+            4_503_599_627_370_496.0,      // 2^52
+            9_007_199_254_740_993.0,      // 2^53 + 1 (rounds to 2^53 as f64)
+            18_446_744_073_709_551_616.0, // 2^64: saturates
+            1e300,
+            f64::MAX,
+        ];
+        // n + 0.5 halves, small and large.
+        cases.extend((0..1_000).map(|n| n as f64 + 0.5));
+        cases.extend((0..1_000u64).map(|n| (n << 40) as f64 + 0.5));
+        for x in cases {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x}");
+        }
+        assert_eq!(round_to_u64(1e300), u64::MAX);
+    }
+
+    #[test]
+    fn from_secs_f64_rounds_like_f64_round() {
+        let secs: [f64; 9] = [
+            1e-7, 4.9999e-7, 5e-7, 2.5e-6, 0.00025, 0.0035, 1.2345675, 7.5e9, 1e300,
+        ];
+        for s in secs {
+            let want = (s * 1e6).round() as u64;
+            assert_eq!(SimDuration::from_secs_f64(s).as_micros(), want, "{s}");
+        }
     }
 
     #[test]

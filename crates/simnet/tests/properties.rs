@@ -7,41 +7,61 @@ use simnet::{
 };
 
 proptest! {
-    /// Differential test: the timing-wheel queue and the reference
-    /// binary-heap queue pop bit-identical (time, payload) sequences — and
-    /// therefore identical FIFO sequence numbers — for arbitrary
-    /// interleaved push/pop programs, including same-instant bursts,
-    /// pushes into the cursor's past, and times beyond the wheel span.
+    /// Differential test: the calendar queue and the reference binary-heap
+    /// queue pop bit-identical (time, payload) sequences — and therefore
+    /// identical FIFO order — for arbitrary interleaved push/peek/pop
+    /// programs, including same-instant bursts, pushes behind the cursor,
+    /// level-0 window edges, coarse-bucket crossings, and times beyond the
+    /// calendar span.
     #[test]
     fn event_queue_matches_heap_reference(
-        ops in prop::collection::vec((0u8..8, any::<u64>()), 1..300),
+        ops in prop::collection::vec((0u8..16, any::<u64>()), 1..300),
     ) {
-        let mut wheel = EventQueue::new();
+        // Level-0 window width (1 µs slots) and the first coarse level's
+        // bucket width of `EventQueue`.
+        const SLOTS: u64 = 1 << 12;
+        const COARSE: u64 = 1 << 18;
+        let edges = [0, 1, SLOTS - 1, SLOTS, SLOTS + 1, COARSE - 1, COARSE, COARSE + 1];
+        let mut cal = EventQueue::new();
         let mut heap = HeapEventQueue::new();
+        let mut last = 0u64;
         for (i, &(kind, raw)) in ops.iter().enumerate() {
-            if kind == 0 {
-                prop_assert_eq!(wheel.pop(), heap.pop());
-                prop_assert_eq!(wheel.len(), heap.len());
-                continue;
+            match kind {
+                0 | 1 => {
+                    let (c, h) = (cal.pop(), heap.pop());
+                    prop_assert_eq!(&c, &h);
+                    prop_assert_eq!(cal.len(), heap.len());
+                    if let Some((t, _)) = c {
+                        last = t.as_micros();
+                    }
+                    continue;
+                }
+                2 => {
+                    prop_assert_eq!(cal.peek_time(), heap.peek_time());
+                    continue;
+                }
+                _ => {}
             }
-            // Spread pushes across all wheel levels: same-instant bursts
+            // Spread pushes across all calendar levels: same-instant bursts
             // (coarse granularity), sub-second, sub-hour, and beyond the
-            // ~19 h wheel span (overflow path). Popping interleaved with
-            // small times also exercises pushes behind the wheel cursor.
-            let t = match kind % 4 {
-                1 => raw % 64,
-                2 => raw % 1_000_000,
-                3 => raw % 100_000_000_000,
-                _ => raw % 3_600_000_000,
+            // ~19 h span (overflow path); and offsets from the last popped
+            // time that land on window and bucket edges. Popping interleaved
+            // with small times also exercises pushes behind the cursor.
+            let t = match kind {
+                3 | 4 => raw % 64,
+                5 | 6 => raw % 1_000_000,
+                7 => raw % 100_000_000_000,
+                8 => raw % 3_600_000_000,
+                _ => last + edges[(raw % edges.len() as u64) as usize],
             };
-            wheel.push(SimTime::from_micros(t), i);
+            cal.push(SimTime::from_micros(t), i);
             heap.push(SimTime::from_micros(t), i);
-            prop_assert_eq!(wheel.len(), heap.len());
+            prop_assert_eq!(cal.len(), heap.len());
         }
         loop {
-            let (w, h) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(&w, &h);
-            if w.is_none() {
+            let (c, h) = (cal.pop(), heap.pop());
+            prop_assert_eq!(&c, &h);
+            if c.is_none() {
                 break;
             }
         }
